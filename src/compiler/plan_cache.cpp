@@ -1,13 +1,18 @@
 #include "compiler/plan_cache.h"
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "common/error.h"
 #include "common/strings.h"
+#include "compiler/verifier.h"
 
 namespace mscclang {
 
@@ -251,8 +256,9 @@ PlanCache::compile(const Program &program, const CompileOptions &options)
         return plan;
 
     // Try the on-disk spill before paying for a compile. Any parse
-    // failure or shape mismatch (stale file, torn write, wrong
-    // build) falls through to a fresh compile that overwrites it.
+    // or verification failure or shape mismatch (stale file, wrong
+    // build, tampering) falls through to a fresh compile that
+    // overwrites it.
     const char *dir = std::getenv("MSCCLANG_PLAN_CACHE_DIR");
     if (dir != nullptr && dir[0] != '\0') {
         std::ifstream in(planFileName(dir, key));
@@ -263,6 +269,11 @@ PlanCache::compile(const Program &program, const CompileOptions &options)
                 IrProgram ir = IrProgram::fromXml(text.str());
                 if (ir.numRanks == program.numRanks() &&
                     ir.collective == program.collective().name()) {
+                    // A file is not a compile: re-verify what it holds.
+                    if (options.verify) {
+                        verifyIr(ir, program.collective(),
+                                 VerifyOptions{ options.verifySlots });
+                    }
                     plan.ir = std::move(ir);
                     plan.stats = statsFromIr(plan.ir, program);
                     {
@@ -281,10 +292,17 @@ PlanCache::compile(const Program &program, const CompileOptions &options)
     plan = compileProgram(program, options);
     insert(key, plan);
     if (dir != nullptr && dir[0] != '\0') {
-        std::ofstream out(planFileName(dir, key),
-                          std::ios::binary | std::ios::trunc);
-        if (out)
-            out << plan.ir.toXml();
+        // Write a private temp file and rename it into place, so a
+        // concurrent reader sees either no file or a whole one.
+        static std::atomic<unsigned> spills{ 0 };
+        std::string path = planFileName(dir, key);
+        std::string temp = strprintf("%s.%d.%u.tmp", path.c_str(),
+                                     static_cast<int>(::getpid()),
+                                     spills++);
+        bool written = static_cast<bool>(std::ofstream(temp, std::ios::binary)
+                                         << plan.ir.toXml() << std::flush);
+        if (!written || std::rename(temp.c_str(), path.c_str()) != 0)
+            std::remove(temp.c_str());
     }
     return plan;
 }

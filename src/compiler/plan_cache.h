@@ -28,8 +28,10 @@
  * outside the lock so concurrent misses on distinct keys proceed in
  * parallel. When MSCCLANG_PLAN_CACHE_DIR names a directory, plans
  * additionally spill to `plan-<16 hex digits>.xml` in the MSCCL-IR
- * exchange format; a corrupt or mismatched on-disk entry silently
- * falls back to a fresh compile and is overwritten.
+ * exchange format, written to a temp file and renamed into place so
+ * no reader sees a torn file. A corrupt or mismatched on-disk entry,
+ * or one that fails verifyIr when the options ask for verification,
+ * silently falls back to a fresh compile and is overwritten.
  */
 
 #ifndef MSCCLANG_COMPILER_PLAN_CACHE_H_

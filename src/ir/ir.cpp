@@ -25,25 +25,29 @@ irOpName(IrOp op)
     return "?";
 }
 
-IrOp
-irOpFromName(const std::string &name)
+namespace {
+
+/** The enumerator in [0, @p count) whose @p name is @p text. */
+template <typename Enum>
+Enum
+enumFromName(std::string_view text, int count, const char *(*name)(Enum),
+             const char *what)
 {
-    static const std::pair<const char *, IrOp> table[] = {
-        { "nop", IrOp::Nop },
-        { "s", IrOp::Send },
-        { "r", IrOp::Recv },
-        { "cpy", IrOp::Copy },
-        { "re", IrOp::Reduce },
-        { "rrc", IrOp::RecvReduceCopy },
-        { "rrs", IrOp::RecvReduceSend },
-        { "rrcs", IrOp::RecvReduceCopySend },
-        { "rcs", IrOp::RecvCopySend },
-    };
-    for (const auto &entry : table) {
-        if (name == entry.first)
-            return entry.second;
+    for (int i = 0; i < count; i++) {
+        if (text == name(static_cast<Enum>(i)))
+            return static_cast<Enum>(i);
     }
-    throw Error("MSCCL-IR: unknown opcode '" + name + "'");
+    throw Error("MSCCL-IR: unknown " + std::string(what) + " '" +
+                std::string(text) + "'");
+}
+
+} // namespace
+
+IrOp
+irOpFromName(std::string_view name)
+{
+    return enumFromName(name, static_cast<int>(IrOp::RecvCopySend) + 1,
+                        irOpName, "opcode");
 }
 
 bool
@@ -167,20 +171,6 @@ IrProgram::maxThreadBlocks() const
 }
 
 bool
-IrProgram::carriesReduction() const
-{
-    for (const IrGpu &gpu : gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            for (const IrInstruction &instr : tb.steps) {
-                if (irOpReduces(instr.op))
-                    return true;
-            }
-        }
-    }
-    return false;
-}
-
-bool
 IrProgram::mutatesInput() const
 {
     for (const IrGpu &gpu : gpus) {
@@ -211,77 +201,59 @@ IrProgram::totalInstructions() const
 
 namespace {
 
-std::string
-bufferAttr(BufferKind kind)
-{
-    return bufferKindName(kind);
-}
-
 BufferKind
-bufferFromAttr(const std::string &name)
+bufferFromAttr(std::string_view name)
 {
-    if (name == "i") return BufferKind::Input;
-    if (name == "o") return BufferKind::Output;
-    if (name == "s") return BufferKind::Scratch;
-    throw Error("MSCCL-IR: unknown buffer '" + name + "'");
+    return enumFromName(name, 3, bufferKindName, "buffer");
 }
 
-Protocol
-protocolFromAttr(const std::string &name)
+/** Writes "tb:step,tb:step" into @p out. */
+void
+depsAttr(const std::vector<IrDep> &deps, std::string &out)
 {
-    if (name == "Simple") return Protocol::Simple;
-    if (name == "LL") return Protocol::LL;
-    if (name == "LL128") return Protocol::LL128;
-    if (name == "Direct") return Protocol::Direct;
-    throw Error("MSCCL-IR: unknown protocol '" + name + "'");
-}
-
-ReduceOp
-reduceOpFromAttr(const std::string &name)
-{
-    if (name == "sum") return ReduceOp::Sum;
-    if (name == "prod") return ReduceOp::Prod;
-    if (name == "max") return ReduceOp::Max;
-    if (name == "min") return ReduceOp::Min;
-    throw Error("MSCCL-IR: unknown reduce op '" + name + "'");
-}
-
-std::string
-depsAttr(const std::vector<IrDep> &deps)
-{
-    std::string out;
-    for (size_t i = 0; i < deps.size(); i++) {
-        if (i > 0)
-            out += ",";
-        out += strprintf("%d:%d", deps[i].tb, deps[i].step);
+    out.clear();
+    for (const IrDep &dep : deps) {
+        if (!out.empty())
+            out += ',';
+        out += std::to_string(dep.tb) + ':' + std::to_string(dep.step);
     }
-    return out;
 }
 
 std::vector<IrDep>
-depsFromAttr(const std::string &text)
+depsFromAttr(std::string_view text)
 {
     std::vector<IrDep> deps;
     if (text.empty())
         return deps;
-    for (const std::string &field : splitString(text, ',')) {
-        auto parts = splitString(field, ':');
-        if (parts.size() != 2)
-            throw Error("MSCCL-IR: malformed dependency '" + field + "'");
+    for (;;) {
+        size_t comma = text.find(',');
+        std::string_view field = text.substr(0, comma);
+        size_t colon = field.find(':');
         IrDep dep;
-        dep.tb = std::stoi(parts[0]);
-        dep.step = std::stoi(parts[1]);
+        if (colon == std::string_view::npos ||
+            !parseXmlInt(field.substr(0, colon), &dep.tb) ||
+            !parseXmlInt(field.substr(colon + 1), &dep.step)) {
+            throw Error("MSCCL-IR: malformed dependency '" +
+                        std::string(field) + "'");
+        }
         deps.push_back(dep);
+        if (comma == std::string_view::npos)
+            return deps;
+        text.remove_prefix(comma + 1);
     }
-    return deps;
 }
+
+/** Rough serialized size of one <step> element, for reserving. */
+constexpr size_t kStepXmlBytes = 112;
 
 } // namespace
 
 std::string
 IrProgram::toXml() const
 {
-    XmlWriter writer;
+    XmlWriter writer(256 + kStepXmlBytes *
+                               static_cast<size_t>(totalInstructions()));
+    std::string deps;
     writer.open("algo");
     writer.attr("name", name);
     writer.attr("coll", collective);
@@ -307,17 +279,19 @@ IrProgram::toXml() const
                 writer.open("step");
                 writer.attr("s", static_cast<int>(s));
                 writer.attr("type", irOpName(instr.op));
-                writer.attr("srcbuf", bufferAttr(instr.srcBuf));
+                writer.attr("srcbuf", bufferKindName(instr.srcBuf));
                 writer.attr("srcoff", instr.srcOff);
-                writer.attr("dstbuf", bufferAttr(instr.dstBuf));
+                writer.attr("dstbuf", bufferKindName(instr.dstBuf));
                 writer.attr("dstoff", instr.dstOff);
                 writer.attr("cnt", instr.count);
                 if (instr.splitCount > 1) {
                     writer.attr("spliti", instr.splitIdx);
                     writer.attr("splitn", instr.splitCount);
                 }
-                if (!instr.deps.empty())
-                    writer.attr("deps", depsAttr(instr.deps));
+                if (!instr.deps.empty()) {
+                    depsAttr(instr.deps, deps);
+                    writer.attr("deps", deps);
+                }
                 writer.attr("hasdep", instr.hasDep ? 1 : 0);
                 writer.close();
             }
@@ -326,63 +300,148 @@ IrProgram::toXml() const
         writer.close();
     }
     writer.close();
-    return writer.str();
+    return writer.finish();
 }
 
 IrProgram
 IrProgram::fromXml(const std::string &xml)
 {
-    XmlNode root = parseXml(xml);
-    if (root.tag != "algo")
-        throw Error("MSCCL-IR: expected <algo> root, got <" + root.tag +
-                    ">");
+    XmlReader in(xml);
+    in.next("algo");
     IrProgram program;
-    program.name = root.attrOr("name", "unnamed");
-    program.collective = root.attrOr("coll", "custom");
-    program.numRanks = root.attrInt("nranks");
-    program.inPlace = root.attrIntOr("inplace", 0) != 0;
-    program.protocol = protocolFromAttr(root.attrOr("proto", "Simple"));
-    program.reduceOp = reduceOpFromAttr(root.attrOr("redop", "sum"));
-    program.outputScale = root.hasAttr("outputscale")
-        ? root.attrDouble("outputscale") : 1.0;
-    for (const XmlNode &gpu_node : root.children) {
-        if (gpu_node.tag != "gpu")
-            throw Error("MSCCL-IR: unexpected <" + gpu_node.tag + ">");
-        IrGpu gpu;
-        gpu.rank = gpu_node.attrInt("id");
-        gpu.inputChunks = gpu_node.attrInt("i_chunks");
-        gpu.outputChunks = gpu_node.attrInt("o_chunks");
-        gpu.scratchChunks = gpu_node.attrInt("s_chunks");
-        for (const XmlNode &tb_node : gpu_node.children) {
-            if (tb_node.tag != "tb")
-                throw Error("MSCCL-IR: unexpected <" + tb_node.tag + ">");
-            IrThreadBlock tb;
-            tb.id = tb_node.attrInt("id");
-            tb.sendPeer = tb_node.attrInt("send");
-            tb.recvPeer = tb_node.attrInt("recv");
-            tb.channel = tb_node.attrInt("chan");
-            for (const XmlNode &step_node : tb_node.children) {
-                if (step_node.tag != "step")
-                    throw Error("MSCCL-IR: unexpected <" + step_node.tag +
-                                ">");
-                IrInstruction instr;
-                instr.op = irOpFromName(step_node.attr("type"));
-                instr.srcBuf = bufferFromAttr(step_node.attr("srcbuf"));
-                instr.srcOff = step_node.attrInt("srcoff");
-                instr.dstBuf = bufferFromAttr(step_node.attr("dstbuf"));
-                instr.dstOff = step_node.attrInt("dstoff");
-                instr.count = step_node.attrInt("cnt");
-                instr.splitIdx = step_node.attrIntOr("spliti", 0);
-                instr.splitCount = step_node.attrIntOr("splitn", 1);
-                instr.deps = depsFromAttr(step_node.attrOr("deps", ""));
-                instr.hasDep = step_node.attrIntOr("hasdep", 0) != 0;
-                tb.steps.push_back(std::move(instr));
+    program.name = in.attrOr("name", "unnamed");
+    program.collective = in.attrOr("coll", "custom");
+    program.numRanks = in.attrInt("nranks");
+    program.inPlace = in.attrIntOr("inplace", 0) != 0;
+    program.protocol =
+        enumFromName(in.attrOr("proto", "Simple"), 4, protocolName,
+                     "protocol");
+    program.reduceOp =
+        enumFromName(in.attrOr("redop", "sum"), 4, reduceOpName,
+                     "reduce op");
+    program.outputScale =
+        in.find("outputscale") ? in.attrDouble("outputscale") : 1.0;
+    while (in.next("gpu")) {
+        IrGpu &gpu = program.gpus.emplace_back();
+        gpu.rank = in.attrInt("id");
+        gpu.inputChunks = in.attrInt("i_chunks");
+        gpu.outputChunks = in.attrInt("o_chunks");
+        gpu.scratchChunks = in.attrInt("s_chunks");
+        while (in.next("tb")) {
+            IrThreadBlock &tb = gpu.threadBlocks.emplace_back();
+            tb.id = in.attrInt("id");
+            tb.sendPeer = in.attrInt("send");
+            tb.recvPeer = in.attrInt("recv");
+            tb.channel = in.attrInt("chan");
+            while (in.next("step")) {
+                IrInstruction &instr = tb.steps.emplace_back();
+                instr.op = irOpFromName(in.attr("type"));
+                instr.srcBuf = bufferFromAttr(in.attr("srcbuf"));
+                instr.srcOff = in.attrInt("srcoff");
+                instr.dstBuf = bufferFromAttr(in.attr("dstbuf"));
+                instr.dstOff = in.attrInt("dstoff");
+                instr.count = in.attrInt("cnt");
+                instr.splitIdx = in.attrIntOr("spliti", 0);
+                instr.splitCount = in.attrIntOr("splitn", 1);
+                instr.deps = depsFromAttr(in.attrOr("deps", ""));
+                instr.hasDep = in.attrIntOr("hasdep", 0) != 0;
+                in.skip(); // a step's children carry nothing
             }
-            gpu.threadBlocks.push_back(std::move(tb));
         }
-        program.gpus.push_back(std::move(gpu));
     }
+    in.next(); // only misc may follow the root
+    validateIr(program);
     return program;
+}
+
+void
+validateIr(const IrProgram &ir)
+{
+    if (ir.numRanks < 1)
+        throw Error(strprintf("MSCCL-IR: nranks %d < 1", ir.numRanks));
+    std::vector<int> ranks;
+    for (const IrGpu &gpu : ir.gpus)
+        ranks.push_back(gpu.rank);
+    std::sort(ranks.begin(), ranks.end());
+    for (size_t i = 0; i < ranks.size(); i++) {
+        if (ranks[i] < 0 || ranks[i] >= ir.numRanks ||
+            (i > 0 && ranks[i] == ranks[i - 1])) {
+            throw Error(strprintf(
+                "MSCCL-IR: rank %d: gpu id duplicated or outside [0, %d)",
+                ranks[i], ir.numRanks));
+        }
+    }
+    auto is_peer = [&](int peer) {
+        return peer >= -1 && peer < ir.numRanks;
+    };
+    for (const IrGpu &gpu : ir.gpus) {
+        // Indexed by BufferKind.
+        const int chunks[] = { gpu.inputChunks, gpu.outputChunks,
+                               gpu.scratchChunks };
+        if (*std::min_element(std::begin(chunks), std::end(chunks)) < 0) {
+            throw Error(strprintf("MSCCL-IR: rank %d: negative chunk count",
+                                  gpu.rank));
+        }
+        // Thread block ids index the runtime's per-rank tables, so
+        // they must be a permutation of [0, #tbs); stepsOf[id] is
+        // that block's step count, for checking dependencies.
+        std::vector<int> stepsOf(gpu.threadBlocks.size(), -1);
+        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+            if (tb.id < 0 || static_cast<size_t>(tb.id) >= stepsOf.size() ||
+                stepsOf[tb.id] >= 0) {
+                throw Error(strprintf(
+                    "MSCCL-IR: rank %d tb %d: tb id duplicated or outside "
+                    "[0, %zu)", gpu.rank, tb.id, stepsOf.size()));
+            }
+            stepsOf[tb.id] = static_cast<int>(tb.steps.size());
+        }
+        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+            auto fail = [&](const std::string &why, long step = -1) {
+                std::string at =
+                    step < 0 ? "" : strprintf(" step %ld", step);
+                throw Error(strprintf("MSCCL-IR: rank %d tb %d%s: %s",
+                                      gpu.rank, tb.id, at.c_str(),
+                                      why.c_str()));
+            };
+            if (!is_peer(tb.sendPeer) || !is_peer(tb.recvPeer)) {
+                fail(strprintf("send peer %d / recv peer %d outside "
+                               "[-1, %d)", tb.sendPeer, tb.recvPeer,
+                               ir.numRanks));
+            }
+            if (tb.channel < 0)
+                fail(strprintf("channel %d < 0", tb.channel));
+            for (size_t s = 0; s < tb.steps.size(); s++) {
+                const IrInstruction &in = tb.steps[s];
+                long step = static_cast<long>(s);
+                if (in.count < 1)
+                    fail(strprintf("cnt %d < 1", in.count), step);
+                if (in.splitCount < 1)
+                    fail(strprintf("splitn %d < 1", in.splitCount), step);
+                if (in.splitIdx < 0 || in.splitIdx >= in.splitCount) {
+                    fail(strprintf("spliti %d outside [0, %d)", in.splitIdx,
+                                   in.splitCount), step);
+                }
+                for (auto [buf, off] : { std::pair(in.srcBuf, in.srcOff),
+                                         std::pair(in.dstBuf, in.dstOff) }) {
+                    long long end = static_cast<long long>(off) + in.count;
+                    int size = chunks[static_cast<int>(buf)];
+                    if (off < 0 || end > size) {
+                        fail(strprintf("slice %s[%d..%lld) outside %d chunks",
+                                       bufferKindName(buf), off, end, size),
+                             step);
+                    }
+                }
+                for (const IrDep &dep : in.deps) {
+                    if (dep.tb < 0 ||
+                        static_cast<size_t>(dep.tb) >= stepsOf.size() ||
+                        dep.step < 0 || dep.step >= stepsOf[dep.tb]) {
+                        fail(strprintf("dependency %d:%d names no such tb "
+                                       "and step", dep.tb, dep.step), step);
+                    }
+                }
+            }
+        }
+    }
 }
 
 std::string

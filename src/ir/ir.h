@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -42,7 +43,7 @@ enum class IrOp {
 const char *irOpName(IrOp op);
 
 /** Parses the mnemonic back; throws mscclang::Error on junk. */
-IrOp irOpFromName(const std::string &name);
+IrOp irOpFromName(std::string_view name);
 
 /** True if the op consumes data from the thread block's recv peer. */
 bool irOpReceives(IrOp op);
@@ -151,9 +152,6 @@ struct IrProgram
     /** Largest thread block count of any GPU. */
     int maxThreadBlocks() const;
 
-    /** True if any instruction applies the reduction operator. */
-    bool carriesReduction() const;
-
     /**
      * True if any instruction writes the input buffer (directly, or
      * through the in-place output alias). A program that never
@@ -176,6 +174,20 @@ struct IrProgram
     /** Multi-line human-readable dump for debugging and docs. */
     std::string dump() const;
 };
+
+/**
+ * Structural checks on an IR that may have come from outside the
+ * compiler (IrProgram::fromXml runs it on every load), so that nothing
+ * downstream indexes, divides or allocates with an out-of-range
+ * field: nranks >= 1; GPU ranks in [0, nranks) and distinct; chunk
+ * counts >= 0; thread block ids a permutation of [0, #tbs); send and
+ * receive peers in [-1, nranks); channels >= 0; per step cnt >= 1,
+ * splitn >= 1, spliti in [0, splitn), source and destination slices
+ * [off, off + cnt) inside their buffer's chunk count; every
+ * dependency naming an existing thread block and step.
+ * @throws mscclang::Error naming the rank, tb and step at fault.
+ */
+void validateIr(const IrProgram &ir);
 
 } // namespace mscclang
 

@@ -1,317 +1,43 @@
 #include "ir/xml.h"
 
-#include <cctype>
+#include <charconv>
 
 #include "common/error.h"
 #include "common/strings.h"
 
 namespace mscclang {
 
-const std::string &
-XmlNode::attr(const std::string &name) const
-{
-    for (const auto &kv : attrs) {
-        if (kv.first == name)
-            return kv.second;
-    }
-    throw Error("xml: element <" + tag + "> missing attribute '" +
-                name + "'");
-}
+namespace {
 
-std::string
-XmlNode::attrOr(const std::string &name, const std::string &fallback) const
+/** The C locale's isspace, without the locale lookup. */
+bool
+isSpace(char c)
 {
-    for (const auto &kv : attrs) {
-        if (kv.first == name)
-            return kv.second;
-    }
-    return fallback;
+    return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
 bool
-XmlNode::hasAttr(const std::string &name) const
+isNameChar(char c)
 {
-    for (const auto &kv : attrs) {
-        if (kv.first == name)
-            return true;
-    }
-    return false;
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+        (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.' ||
+        c == ':';
 }
 
-int
-XmlNode::attrInt(const std::string &name) const
+/** Longest recognized entity body ("&#x10FFFF;" is 8 chars). */
+constexpr std::size_t kMaxEntityLen = 8;
+
+void
+appendInt(std::string &out, int value)
 {
-    try {
-        return std::stoi(attr(name));
-    } catch (const std::logic_error &) {
-        throw Error("xml: attribute '" + name + "' of <" + tag +
-                    "> is not an integer");
-    }
+    char buf[16];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+    out.append(buf, end);
 }
 
-int
-XmlNode::attrIntOr(const std::string &name, int fallback) const
+void
+appendEscaped(std::string &out, std::string_view text)
 {
-    if (!hasAttr(name))
-        return fallback;
-    return attrInt(name);
-}
-
-double
-XmlNode::attrDouble(const std::string &name) const
-{
-    try {
-        return std::stod(attr(name));
-    } catch (const std::logic_error &) {
-        throw Error("xml: attribute '" + name + "' of <" + tag +
-                    "> is not a number");
-    }
-}
-
-namespace {
-
-/** Recursive-descent parser over a flat character range. */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    XmlNode
-    parseDocument()
-    {
-        skipMisc();
-        XmlNode root = parseElement();
-        skipMisc();
-        if (pos_ != text_.size())
-            fail("trailing content after the root element");
-        return root;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw Error(strprintf("xml: %s (at offset %zu)", why.c_str(),
-                              pos_));
-    }
-
-    char
-    peek() const
-    {
-        if (pos_ >= text_.size())
-            return '\0';
-        return text_[pos_];
-    }
-
-    bool
-    startsWith(const char *prefix) const
-    {
-        return text_.compare(pos_, std::string::traits_type::length(prefix),
-                             prefix) == 0;
-    }
-
-    void
-    skipWhitespace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            pos_++;
-        }
-    }
-
-    /** Skips whitespace, comments and processing instructions. */
-    void
-    skipMisc()
-    {
-        for (;;) {
-            skipWhitespace();
-            if (startsWith("<!--")) {
-                size_t end = text_.find("-->", pos_ + 4);
-                if (end == std::string::npos)
-                    fail("unterminated comment");
-                pos_ = end + 3;
-            } else if (startsWith("<?")) {
-                size_t end = text_.find("?>", pos_ + 2);
-                if (end == std::string::npos)
-                    fail("unterminated processing instruction");
-                pos_ = end + 2;
-            } else {
-                return;
-            }
-        }
-    }
-
-    std::string
-    parseName()
-    {
-        size_t start = pos_;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-                c == '-' || c == '.' || c == ':') {
-                pos_++;
-            } else {
-                break;
-            }
-        }
-        if (pos_ == start)
-            fail("expected a name");
-        return text_.substr(start, pos_ - start);
-    }
-
-    /** Longest recognized entity body ("&#x10FFFF;" is 8 chars). */
-    static constexpr size_t kMaxEntityLen = 8;
-
-    /** Decodes "#NN" / "#xNN" character references (bytes only). */
-    char
-    numericEntity(const std::string &entity)
-    {
-        size_t p = 1;
-        int base = 10;
-        if (p < entity.size() &&
-            (entity[p] == 'x' || entity[p] == 'X')) {
-            base = 16;
-            p++;
-        }
-        if (p >= entity.size())
-            fail("empty character reference");
-        unsigned long value = 0;
-        for (; p < entity.size(); p++) {
-            int digit;
-            char c = entity[p];
-            if (c >= '0' && c <= '9') digit = c - '0';
-            else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-            else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-            else fail("malformed character reference '&" + entity + ";'");
-            value = value * static_cast<unsigned long>(base) +
-                static_cast<unsigned long>(digit);
-            if (value > 0xFF)
-                fail("character reference '&" + entity +
-                     ";' out of byte range");
-        }
-        return static_cast<char>(static_cast<unsigned char>(value));
-    }
-
-    std::string
-    unescape(const std::string &raw)
-    {
-        std::string out;
-        out.reserve(raw.size());
-        for (size_t i = 0; i < raw.size(); i++) {
-            if (raw[i] != '&') {
-                out.push_back(raw[i]);
-                continue;
-            }
-            // Bound the scan for ';' so a stray '&' fails fast with a
-            // short message instead of swallowing the rest of the
-            // value into an "unknown entity" report.
-            size_t semi = raw.find(';', i);
-            if (semi == std::string::npos ||
-                semi - i - 1 > kMaxEntityLen) {
-                fail("unterminated entity");
-            }
-            std::string entity = raw.substr(i + 1, semi - i - 1);
-            if (entity.empty()) fail("empty entity '&;'");
-            else if (entity == "amp") out.push_back('&');
-            else if (entity == "lt") out.push_back('<');
-            else if (entity == "gt") out.push_back('>');
-            else if (entity == "quot") out.push_back('"');
-            else if (entity == "apos") out.push_back('\'');
-            else if (entity[0] == '#') out.push_back(numericEntity(entity));
-            else fail("unknown entity '&" + entity + ";'");
-            i = semi;
-        }
-        return out;
-    }
-
-    std::string
-    parseAttrValue()
-    {
-        char quote = peek();
-        if (quote != '"' && quote != '\'')
-            fail("expected a quoted attribute value");
-        pos_++;
-        size_t end = text_.find(quote, pos_);
-        if (end == std::string::npos)
-            fail("unterminated attribute value");
-        std::string raw = text_.substr(pos_, end - pos_);
-        pos_ = end + 1;
-        return unescape(raw);
-    }
-
-    XmlNode
-    parseElement()
-    {
-        if (peek() != '<')
-            fail("expected '<'");
-        pos_++;
-        XmlNode node;
-        node.tag = parseName();
-        for (;;) {
-            skipWhitespace();
-            char c = peek();
-            if (c == '/') {
-                pos_++;
-                if (peek() != '>')
-                    fail("expected '>' after '/'");
-                pos_++;
-                return node; // self-closing
-            }
-            if (c == '>') {
-                pos_++;
-                break;
-            }
-            std::string name = parseName();
-            skipWhitespace();
-            if (peek() != '=')
-                fail("expected '=' in attribute");
-            pos_++;
-            skipWhitespace();
-            node.attrs.emplace_back(name, parseAttrValue());
-        }
-        // children until the close tag
-        for (;;) {
-            skipMisc();
-            if (startsWith("</")) {
-                pos_ += 2;
-                std::string closing = parseName();
-                if (closing != node.tag)
-                    fail("mismatched close tag </" + closing + "> for <" +
-                         node.tag + ">");
-                skipWhitespace();
-                if (peek() != '>')
-                    fail("expected '>' in close tag");
-                pos_++;
-                return node;
-            }
-            if (peek() == '<') {
-                node.children.push_back(parseElement());
-            } else if (pos_ >= text_.size()) {
-                fail("unexpected end of input inside <" + node.tag + ">");
-            } else {
-                fail("text content is not supported");
-            }
-        }
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
-
-} // namespace
-
-XmlNode
-parseXml(const std::string &text)
-{
-    Parser parser(text);
-    return parser.parseDocument();
-}
-
-std::string
-xmlEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
     for (char c : text) {
         switch (c) {
           case '&': out += "&amp;"; break;
@@ -324,78 +50,354 @@ xmlEscape(const std::string &text)
             // attribute values round-trip byte-exactly (a literal
             // newline would be normalized away by any XML parser).
             unsigned char u = static_cast<unsigned char>(c);
-            if (u < 0x20 || u == 0x7F)
-                out += strprintf("&#%u;", static_cast<unsigned>(u));
-            else
+            if (u < 0x20 || u == 0x7F) {
+                out += "&#";
+                appendInt(out, u);
+                out += ';';
+            } else {
                 out.push_back(c);
+            }
           }
         }
     }
-    return out;
+}
+
+} // namespace
+
+bool
+parseXmlInt(std::string_view text, int *out)
+{
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 void
-XmlWriter::open(const std::string &tag)
+XmlReader::fail(const std::string &why) const
 {
-    finishOpenTag(false);
-    out_ += std::string(stack_.size() * 2, ' ');
-    out_ += "<" + tag;
-    stack_.push_back(tag);
+    throw Error(strprintf("xml: %s (at offset %zu)", why.c_str(), pos_));
+}
+
+void
+XmlReader::skipWhitespace()
+{
+    while (pos_ < text_.size() && isSpace(text_[pos_]))
+        pos_++;
+}
+
+void
+XmlReader::skipMisc()
+{
+    for (;;) {
+        skipWhitespace();
+        std::string_view rest = text_.substr(pos_);
+        if (rest.substr(0, 4) == "<!--") {
+            std::size_t end = text_.find("-->", pos_ + 4);
+            if (end == std::string_view::npos)
+                fail("unterminated comment");
+            pos_ = end + 3;
+        } else if (rest.substr(0, 2) == "<?") {
+            std::size_t end = text_.find("?>", pos_ + 2);
+            if (end == std::string_view::npos)
+                fail("unterminated processing instruction");
+            pos_ = end + 2;
+        } else {
+            return;
+        }
+    }
+}
+
+std::string_view
+XmlReader::parseName()
+{
+    std::size_t start = pos_;
+    while (pos_ < text_.size() && isNameChar(text_[pos_]))
+        pos_++;
+    if (pos_ == start)
+        fail("expected a name");
+    return text_.substr(start, pos_ - start);
+}
+
+void
+XmlReader::unescape(std::string_view raw, std::string &out) const
+{
+    out.clear();
+    for (std::size_t i = 0; i < raw.size(); i++) {
+        if (raw[i] != '&') {
+            out.push_back(raw[i]);
+            continue;
+        }
+        // Bound the scan for ';' so a stray '&' fails fast with a
+        // short message instead of swallowing the rest of the value
+        // into an "unknown entity" report.
+        std::size_t semi = raw.find(';', i);
+        if (semi == std::string_view::npos || semi - i - 1 > kMaxEntityLen)
+            fail("unterminated entity");
+        std::string_view entity = raw.substr(i + 1, semi - i - 1);
+        auto quoted = [&] { return "'&" + std::string(entity) + ";'"; };
+        i = semi;
+        if (entity.empty()) fail("empty entity '&;'");
+        else if (entity == "amp") out.push_back('&');
+        else if (entity == "lt") out.push_back('<');
+        else if (entity == "gt") out.push_back('>');
+        else if (entity == "quot") out.push_back('"');
+        else if (entity == "apos") out.push_back('\'');
+        else if (entity[0] != '#') fail("unknown entity " + quoted());
+        else {
+            // "#NN" / "#xNN" character references, bytes only.
+            std::string_view digits = entity.substr(1);
+            int base = 10;
+            if (!digits.empty() && (digits[0] == 'x' || digits[0] == 'X')) {
+                base = 16;
+                digits.remove_prefix(1);
+            }
+            if (digits.empty())
+                fail("empty character reference");
+            unsigned value = 0;
+            auto [ptr, ec] = std::from_chars(
+                digits.data(), digits.data() + digits.size(), value, base);
+            // At most seven digits fit the entity bound, so the value
+            // cannot overflow before the byte-range check.
+            if (ec != std::errc() || ptr != digits.data() + digits.size())
+                fail("malformed character reference " + quoted());
+            if (value > 0xFF)
+                fail("character reference " + quoted() +
+                     " out of byte range");
+            out.push_back(static_cast<char>(value));
+        }
+    }
+}
+
+void
+XmlReader::openElement()
+{
+    if (pos_ >= text_.size() || text_[pos_] != '<')
+        fail("expected '<'");
+    pos_++;
+    tag_ = parseName();
+    attrs_.clear();
+    std::size_t decoded = 0;
+    for (;;) {
+        skipWhitespace();
+        char c = pos_ < text_.size() ? text_[pos_] : '\0';
+        if (c == '/') {
+            pos_++;
+            if (pos_ >= text_.size() || text_[pos_] != '>')
+                fail("expected '>' after '/'");
+            pos_++;
+            selfClosed_ = true;
+            break;
+        }
+        if (c == '>') {
+            pos_++;
+            break;
+        }
+        std::string_view name = parseName();
+        skipWhitespace();
+        if (pos_ >= text_.size() || text_[pos_] != '=')
+            fail("expected '=' in attribute");
+        pos_++;
+        skipWhitespace();
+        char quote = pos_ < text_.size() ? text_[pos_] : '\0';
+        if (quote != '"' && quote != '\'')
+            fail("expected a quoted attribute value");
+        std::size_t end = text_.find(quote, pos_ + 1);
+        if (end == std::string_view::npos)
+            fail("unterminated attribute value");
+        std::string_view value = text_.substr(pos_ + 1, end - pos_ - 1);
+        pos_ = end + 1;
+        if (value.find('&') != std::string_view::npos) {
+            if (decoded == decoded_.size())
+                decoded_.emplace_back();
+            unescape(value, decoded_[decoded]);
+            value = decoded_[decoded++];
+        }
+        attrs_.push_back(name);
+        attrs_.push_back(value);
+    }
+    open_.push_back(tag_);
+}
+
+bool
+XmlReader::next(std::string_view expected)
+{
+    if (selfClosed_) {
+        selfClosed_ = false;
+        open_.pop_back();
+        return false;
+    }
+    skipMisc();
+    if (open_.empty()) {
+        if (started_) {
+            if (pos_ != text_.size())
+                fail("trailing content after the root element");
+            return false;
+        }
+        started_ = true;
+    } else if (text_.substr(pos_, 2) == "</") {
+        pos_ += 2;
+        std::string_view closing = parseName();
+        if (closing != open_.back()) {
+            fail("mismatched close tag </" + std::string(closing) +
+                 "> for <" + std::string(open_.back()) + ">");
+        }
+        skipWhitespace();
+        if (pos_ >= text_.size() || text_[pos_] != '>')
+            fail("expected '>' in close tag");
+        pos_++;
+        open_.pop_back();
+        return false;
+    } else if (pos_ >= text_.size()) {
+        fail("unexpected end of input inside <" +
+             std::string(open_.back()) + ">");
+    } else if (text_[pos_] != '<') {
+        fail("text content is not supported");
+    }
+    openElement();
+    if (!expected.empty() && tag_ != expected) {
+        fail("unexpected <" + std::string(tag_) + ">, expected <" +
+             std::string(expected) + ">");
+    }
+    return true;
+}
+
+void
+XmlReader::skip()
+{
+    std::size_t depth = open_.size();
+    while (depth > 0 && open_.size() >= depth)
+        next();
+}
+
+const std::string_view *
+XmlReader::find(std::string_view name) const
+{
+    for (std::size_t i = 0; i < attrs_.size(); i += 2) {
+        if (attrs_[i] == name)
+            return &attrs_[i + 1];
+    }
+    return nullptr;
+}
+
+std::string_view
+XmlReader::attr(std::string_view name) const
+{
+    const std::string_view *value = find(name);
+    if (value == nullptr) {
+        fail("element <" + std::string(tag_) + "> missing attribute '" +
+             std::string(name) + "'");
+    }
+    return *value;
+}
+
+std::string_view
+XmlReader::attrOr(std::string_view name, std::string_view fallback) const
+{
+    const std::string_view *value = find(name);
+    return value == nullptr ? fallback : *value;
+}
+
+int
+XmlReader::attrInt(std::string_view name) const
+{
+    int value = 0;
+    if (!parseXmlInt(attr(name), &value)) {
+        fail("attribute '" + std::string(name) + "' of <" +
+             std::string(tag_) + "> is not an integer");
+    }
+    return value;
+}
+
+int
+XmlReader::attrIntOr(std::string_view name, int fallback) const
+{
+    return find(name) == nullptr ? fallback : attrInt(name);
+}
+
+double
+XmlReader::attrDouble(std::string_view name) const
+{
+    try {
+        return std::stod(std::string(attr(name)));
+    } catch (const std::logic_error &) {
+        fail("attribute '" + std::string(name) + "' of <" +
+             std::string(tag_) + "> is not a number");
+    }
+}
+
+void
+XmlWriter::open(std::string_view tag)
+{
+    if (openTagPending_)
+        out_ += ">\n";
+    out_.append(open_.size() * 2, ' ');
+    out_ += '<';
+    out_ += tag;
+    open_.push_back(tag);
     openTagPending_ = true;
 }
 
 void
-XmlWriter::attr(const std::string &name, const std::string &value)
+XmlWriter::beginAttr(std::string_view name)
 {
     if (!openTagPending_)
         throw Error("xml: attr() outside an open tag");
-    out_ += " " + name + "=\"" + xmlEscape(value) + "\"";
+    out_ += ' ';
+    out_ += name;
+    out_ += "=\"";
 }
 
 void
-XmlWriter::attr(const std::string &name, int value)
+XmlWriter::attr(std::string_view name, std::string_view value)
 {
-    attr(name, std::to_string(value));
+    beginAttr(name);
+    appendEscaped(out_, value);
+    out_ += '"';
 }
 
 void
-XmlWriter::attr(const std::string &name, double value)
+XmlWriter::attr(std::string_view name, int value)
 {
-    attr(name, strprintf("%.17g", value));
+    beginAttr(name);
+    appendInt(out_, value);
+    out_ += '"';
+}
+
+void
+XmlWriter::attr(std::string_view name, double value)
+{
+    beginAttr(name);
+    char buf[32];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                   std::chars_format::general, 17);
+    out_.append(buf, end);
+    out_ += '"';
 }
 
 void
 XmlWriter::close()
 {
-    if (stack_.empty())
+    if (open_.empty())
         throw Error("xml: close() without open()");
+    std::string_view tag = open_.back();
+    open_.pop_back();
     if (openTagPending_) {
         out_ += "/>\n";
         openTagPending_ = false;
-        stack_.pop_back();
         return;
     }
-    std::string tag = stack_.back();
-    stack_.pop_back();
-    out_ += std::string(stack_.size() * 2, ' ');
-    out_ += "</" + tag + ">\n";
+    out_.append(open_.size() * 2, ' ');
+    out_ += "</";
+    out_ += tag;
+    out_ += ">\n";
 }
 
 std::string
-XmlWriter::str() const
+XmlWriter::finish()
 {
-    if (!stack_.empty() || openTagPending_)
+    if (!open_.empty())
         throw Error("xml: document has unclosed elements");
-    return out_;
-}
-
-void
-XmlWriter::finishOpenTag(bool)
-{
-    if (!openTagPending_)
-        return;
-    out_ += ">\n";
-    openTagPending_ = false;
+    return std::move(out_);
 }
 
 } // namespace mscclang

@@ -138,24 +138,6 @@ algoFamilyName(AlgoFamily family)
     return "?";
 }
 
-const char *
-algoFamilyCollective(AlgoFamily family)
-{
-    switch (family) {
-    case AlgoFamily::Ring:
-    case AlgoFamily::AllPairs:
-    case AlgoFamily::Tree:
-    case AlgoFamily::Rabenseifner:
-    case AlgoFamily::Hierarchical:
-        return "allreduce";
-    case AlgoFamily::RingAllGather:
-    case AlgoFamily::RecDoubleAllGather:
-    case AlgoFamily::HierarchicalAllGather:
-        return "allgather";
-    }
-    return "?";
-}
-
 std::string
 candidateLabel(const ScheduleCandidate &spec)
 {

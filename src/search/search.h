@@ -52,9 +52,6 @@ enum class AlgoFamily {
 /** Short family name as used in candidate labels ("Ring", "Tree"). */
 const char *algoFamilyName(AlgoFamily family);
 
-/** The collective a family implements ("allreduce", "allgather"). */
-const char *algoFamilyCollective(AlgoFamily family);
-
 /** One point in the schedule space. */
 struct ScheduleCandidate
 {

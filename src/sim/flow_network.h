@@ -222,9 +222,6 @@ class FlowNetwork
     /** Max-min progressive filling over one shard's flows. */
     void recomputeShard(Shard &shard);
 
-    /** Schedules the shard's next completion from current rates. */
-    void scheduleCompletion(int shard, const std::vector<int> &flows);
-
     /** Applies one armed fault event (and schedules its recovery). */
     void activateFault(int index);
 

@@ -32,6 +32,7 @@
 #include "runtime/communicator.h"
 #include "runtime/interpreter.h"
 #include "runtime/tuner.h"
+#include "test_util.h"
 #include "topology/topology.h"
 #include "workload/replay.h"
 #include "workload/workload.h"
@@ -71,10 +72,8 @@ void
 expectBitIdentical(const Topology &topo, const IrProgram &ir,
                    std::uint64_t bytes)
 {
-    std::string path_a =
-        testing::TempDir() + "mscclang_determinism_a.json";
-    std::string path_b =
-        testing::TempDir() + "mscclang_determinism_b.json";
+    std::string path_a = testing::uniqueTempPath("a.json");
+    std::string path_b = testing::uniqueTempPath("b.json");
     ExecStats a = runTimed(topo, ir, bytes, path_a);
     ExecStats b = runTimed(topo, ir, bytes, path_b);
     EXPECT_EQ(a.endNs, b.endNs);
@@ -302,10 +301,8 @@ TEST(Determinism, SimThreadsInvariantTraceContent)
     cfg.protocol = Protocol::LL128;
     cfg.instances = 2;
     IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    std::string path_1 =
-        testing::TempDir() + "mscclang_simthreads_1.json";
-    std::string path_8 =
-        testing::TempDir() + "mscclang_simthreads_8.json";
+    std::string path_1 = testing::uniqueTempPath("1.json");
+    std::string path_8 = testing::uniqueTempPath("8.json");
     ExecStats a = runWithSimThreads(topo, ir, 1 << 20, 1, path_1);
     ExecStats b = runWithSimThreads(topo, ir, 1 << 20, 8, path_8);
     EXPECT_EQ(a.endNs, b.endNs);
@@ -480,12 +477,9 @@ TEST(Determinism, ParallelInterpTraceContentMatchesSerialEngine)
     cfg.protocol = Protocol::LL128;
     cfg.instances = 2;
     IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    std::string path_s =
-        testing::TempDir() + "mscclang_pinterp_serial.json";
-    std::string path_1 =
-        testing::TempDir() + "mscclang_pinterp_1.json";
-    std::string path_8 =
-        testing::TempDir() + "mscclang_pinterp_8.json";
+    std::string path_s = testing::uniqueTempPath("serial.json");
+    std::string path_1 = testing::uniqueTempPath("1.json");
+    std::string path_8 = testing::uniqueTempPath("8.json");
     runWithSimThreads(topo, ir, 1 << 20, 1, path_s);
     runParallelInterp(topo, ir, 1 << 20, 1, path_1);
     runParallelInterp(topo, ir, 1 << 20, 8, path_8);

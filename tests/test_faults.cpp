@@ -317,7 +317,7 @@ TEST(Watchdog, TraceFlushedOnAbort)
     faulted.setFaultSchedule(FaultSchedule{
         { makeFault(ringResource(faulted), FaultKind::LinkDown,
                     10.0) } });
-    std::string path = ::testing::TempDir() + "mscclang_abort_trace.json";
+    std::string path = testing::uniqueTempPath("abort_trace.json");
     ExecOptions exec;
     exec.bytesPerRank = 1 << 20;
     exec.watchdogNoProgressUs = 100.0;

@@ -22,8 +22,10 @@
 
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
+#include "common/error.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
+#include "compiler/verifier.h"
 #include "search/search.h"
 #include "topology/topology.h"
 
@@ -425,6 +427,75 @@ TEST(PlanCache, MismatchedDiskEntryFallsBackToFreshCompile)
     EXPECT_EQ(cache.diskHits(), 0u);
     EXPECT_EQ(got.ir.toXml(), cold);
     EXPECT_EQ(slurp(dir.planFile(key)), cold);
+}
+
+/** @p xml with the first two <step> lines of its first <tb> swapped:
+ *  still well-formed and structurally valid, but a different plan. */
+std::string
+swapFirstTwoSteps(std::string xml)
+{
+    size_t a = xml.find("<step ");
+    size_t a_end = xml.find('\n', a) + 1;
+    size_t b = xml.find("<step ", a_end);
+    size_t b_end = xml.find('\n', b) + 1;
+    std::string first = xml.substr(a, a_end - a);
+    std::string second = xml.substr(b, b_end - b);
+    return xml.substr(0, a) + second + xml.substr(a_end, b - a_end) +
+        first + xml.substr(b_end);
+}
+
+TEST(PlanCache, TamperedDiskEntryIsVerifiedNotServed)
+{
+    SpillDir dir;
+    AlgoConfig plain;
+    auto make = [&] { return makeRingAllReduce(4, 1, plain); };
+    CompileOptions copts;
+    std::uint64_t key = planCacheKey(*make(), copts);
+    std::string cold = compileProgram(*make(), copts).ir.toXml();
+    std::string tampered = swapFirstTwoSteps(cold);
+    ASSERT_NE(tampered, cold);
+    IrProgram bad = IrProgram::fromXml(tampered);
+    EXPECT_THROW(verifyIr(bad, make()->collective()), VerificationError);
+
+    {
+        std::ofstream out(dir.planFile(key));
+        out << tampered;
+    }
+    PlanCache cache(8);
+    Compiled got = cache.compile(*make(), copts);
+    EXPECT_EQ(cache.diskHits(), 0u);
+    EXPECT_EQ(got.ir.toXml(), cold);
+    EXPECT_EQ(slurp(dir.planFile(key)), cold);
+
+    // Without verification a well-formed spill is served as is.
+    CompileOptions unverified;
+    unverified.verify = false;
+    std::uint64_t raw_key = planCacheKey(*make(), unverified);
+    {
+        std::ofstream out(dir.planFile(raw_key));
+        out << tampered;
+    }
+    PlanCache trusting(8);
+    EXPECT_EQ(trusting.compile(*make(), unverified).ir, bad);
+    EXPECT_EQ(trusting.diskHits(), 1u);
+}
+
+TEST(PlanCache, SpillLeavesNoTempFiles)
+{
+    SpillDir dir;
+    AlgoConfig plain;
+    PlanCache cache(8);
+    cache.compile(*makeRingAllReduce(4, 1, plain));
+    cache.compile(*makeNaiveAllToAll(4, plain));
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path()))
+        names.push_back(entry.path().filename().string());
+    ASSERT_EQ(names.size(), 2u);
+    for (const std::string &name : names) {
+        EXPECT_EQ(name.rfind("plan-", 0), 0u) << name;
+        EXPECT_EQ(name.size(), std::string("plan-0123456789abcdef.xml").size())
+            << name;
+    }
 }
 
 TEST(PlanCache, GlobalEntryPointIsCoherent)

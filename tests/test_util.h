@@ -8,8 +8,12 @@
 #ifndef MSCCLANG_TESTS_TEST_UTIL_H_
 #define MSCCLANG_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "compiler/compiler.h"
@@ -19,6 +23,23 @@
 #include "topology/topology.h"
 
 namespace mscclang::testing {
+
+/**
+ * A TempDir() file name unique to the running test and process:
+ * ctest runs every TEST as its own process, concurrently under -j,
+ * so a fixed name would be shared between them.
+ */
+inline std::string
+uniqueTempPath(const std::string &stem)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name =
+        std::string(info->test_suite_name()) + "." + info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    return ::testing::TempDir() + "mscclang_" + name + "_" +
+        std::to_string(::getpid()) + "_" + stem;
+}
 
 /** Deterministically fills every rank's input buffer. */
 inline std::vector<std::vector<float>>

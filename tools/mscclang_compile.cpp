@@ -250,7 +250,7 @@ main(int argc, char **argv)
                 "thread blocks/gpu  %6d\n",
                 args.algo.c_str(), topo.name().c_str(),
                 topo.numRanks(), out.stats.traceOps,
-                out.stats.chunkCriticalPath,
+                ChunkDag(*prog).criticalPathLength(),
                 out.stats.instrsBeforeFusion,
                 out.stats.instrsAfterFusion, out.stats.fusion.rcs,
                 out.stats.fusion.rrcs, out.stats.fusion.rrs,

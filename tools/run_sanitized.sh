@@ -5,9 +5,11 @@
 # arena and ring inboxes, the event queue's callback slots, the
 # fault/watchdog abort paths that recycle both mid-kernel, and the
 # compiler's shared paths — the plan cache's locked LRU + disk spill
-# and the parallel race verifier's per-rank thread pool — plus the
-# workload replay engine (Workload|Replay|Slo), which multiplexes
-# live executions and recovery retries over one shared fabric. Also
+# and the parallel race verifier's per-rank thread pool — the
+# MSCCL-IR XML reader under its seeded mutation sweep
+# (Xml|IrValidate), plus the workload replay engine
+# (Workload|Replay|Slo), which multiplexes live executions and
+# recovery retries over one shared fabric. Also
 # registered as the "sanitize" ctest configuration (ctest -C sanitize)
 # next to the existing "perf" configuration.
 #
@@ -54,7 +56,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|UnionFind}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Xml|IrValidate|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|UnionFind}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -62,7 +64,7 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_unionfind -j"$(nproc)"
+    test_unionfind test_xml -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
